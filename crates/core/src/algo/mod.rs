@@ -5,7 +5,6 @@
 //! and [`mcbfs_graph::csr::UNVISITED`] marks unreached vertices, claimed
 //! with atomics so that each vertex gets exactly one parent.
 
-pub mod distributed;
 pub mod hybrid;
 pub mod multi_socket;
 pub mod parents;

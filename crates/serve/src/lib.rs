@@ -2,8 +2,9 @@
 //!
 //! The ROADMAP's north star is BFS as a *service*; this crate is the
 //! serving layer over the batched query engine. Clients speak
-//! `mcbfs-wire-v1` — newline-delimited JSON frames over TCP ([`wire`]) —
-//! into a server ([`server`]) whose scheduler thread ([`scheduler`]) runs
+//! `mcbfs-wire-v1` ([`wire`]) — newline-delimited JSON frames over TCP,
+//! framed and read by [`frame`], which the shard protocol shares — into a
+//! server ([`server`]) whose scheduler thread ([`scheduler`]) runs
 //! deadline-aware continuous batching: waves seal on whichever fires
 //! first of a full batch or the oldest query aging past `max_wait`.
 //! Admission is bounded ([`shed`]): past the high-water mark requests are
@@ -14,13 +15,15 @@
 //! seeded Poisson arrivals and reports TEPS, QPS, latency quantiles, and
 //! SLO attainment.
 
+pub mod frame;
 pub mod loadgen;
 pub mod scheduler;
 pub mod server;
 pub mod shed;
 pub mod wire;
 
+pub use frame::{FrameError, FrameReader};
 pub use loadgen::{LoadReport, LoadgenOpts};
 pub use server::{arm_sigint, serve, serve_with, ServeOpts, ShutdownHandle, WaveExecutor};
 pub use shed::{ServerStats, StatsHub};
-pub use wire::{QueryReply, RejectReason, Request, Response, WireError, WIRE_VERSION};
+pub use wire::{QueryReply, RejectReason, Request, Response, WIRE_VERSION};

@@ -11,12 +11,13 @@
 //! the grace window expires), so `served + shed + timeouts + errors +
 //! unresolved == submitted` always holds — the invariant CI asserts.
 
+use crate::frame::{self, FrameReader};
 use crate::wire::{self, Request, Response};
 use mcbfs_query::{nearest_rank_quantile, Query};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -166,10 +167,8 @@ pub fn fetch_stats(addr: &str) -> std::io::Result<crate::shed::ServerStats> {
     let mut writer = stream.try_clone()?;
     writer.write_all(wire::encode(&Request::Stats { tag: 0 }).as_bytes())?;
     writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    match wire::decode::<Response>(&line) {
+    let mut reader = FrameReader::new(stream, usize::MAX);
+    match wire::decode::<Response>(reader.next_line()?.unwrap_or_default()) {
         Ok(Response::Stats { stats, .. }) => Ok(stats),
         other => Err(std::io::Error::new(
             ErrorKind::InvalidData,
@@ -271,8 +270,7 @@ fn open_loop_connection(
 
     std::thread::scope(|scope| -> std::io::Result<()> {
         let reader_handle = scope.spawn(|| {
-            let mut reader = BufReader::new(stream);
-            let mut line = String::new();
+            let mut reader = FrameReader::new(stream, usize::MAX);
             let mut grace_start: Option<Instant> = None;
             loop {
                 if done_sending.load(Ordering::Acquire) {
@@ -282,11 +280,9 @@ fn open_loop_connection(
                         break;
                     }
                 }
-                line.clear();
-                match reader.read_line(&mut line) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        let Ok(response) = wire::decode::<Response>(&line) else {
+                match reader.next_line() {
+                    Ok(Some(line)) => {
+                        let Ok(response) = wire::decode::<Response>(line) else {
                             continue;
                         };
                         let (tag, resolution, edges) = classify(&response);
@@ -298,8 +294,8 @@ fn open_loop_connection(
                             });
                         }
                     }
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                    Err(_) => break,
+                    Err(e) if frame::timed_out(&e) => {}
+                    Ok(None) | Err(_) => break,
                 }
             }
         });
@@ -353,12 +349,11 @@ fn closed_loop_connection(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(opts.grace))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(stream, usize::MAX);
     let mut rng = SmallRng::seed_from_u64(opts.seed.wrapping_add(conn as u64 * 0x9E37));
     let mut samples = Vec::new();
     let mut sent = 0u64;
     let start = Instant::now();
-    let mut line = String::new();
     while start.elapsed() < opts.duration {
         let tag = sent;
         let frame = wire::encode(&Request::Query {
@@ -375,10 +370,9 @@ fn closed_loop_connection(
             break;
         }
         sent += 1;
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(n) if n > 0 => {
-                if let Ok(response) = wire::decode::<Response>(&line) {
+        match reader.next_line() {
+            Ok(Some(line)) => {
+                if let Ok(response) = wire::decode::<Response>(line) {
                     let (rtag, resolution, edges) = classify(&response);
                     if rtag == tag {
                         samples.push(Sample {

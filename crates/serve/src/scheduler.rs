@@ -15,6 +15,10 @@
 //! presented as fresh). Both paths record an
 //! [`EventKind::DeadlineMiss`] instant.
 //!
+//! A wave the executor fails (a sharded router that lost a worker link)
+//! answers each of its queries with `error`; the scheduler itself keeps
+//! running, so later waves, `ping` and `stats` are still answered.
+//!
 //! On drain: the server flips the draining flag, the scheduler closes the
 //! batcher (new submissions are rejected as `draining`), then seals and
 //! executes every remaining wave before exiting — admitted queries are
@@ -71,7 +75,7 @@ fn reply_timeout<E: WaveExecutor>(shared: &Shared<E>, entry: &PendingEntry) {
 
 /// Executes one sealed wave and routes every answer. Queries whose
 /// deadline already passed are timed out up front and excluded from the
-/// kernel run.
+/// kernel run; a failed wave answers every remaining query with `error`.
 fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Admitted>) {
     shared.hub.waves.fetch_add(1, Ordering::Relaxed);
     let entries: Vec<Option<PendingEntry>> = {
@@ -95,7 +99,23 @@ fn execute_wave<E: WaveExecutor>(shared: &Shared<E>, wave: Vec<Admitted>) {
     if live.is_empty() {
         return;
     }
-    let report = shared.executor.execute_wave(&live);
+    let report = match shared.executor.execute_wave(&live) {
+        Ok(report) => report,
+        Err(e) => {
+            let error = format!("wave failed: {e}");
+            for entry in &live_entries {
+                shared.hub.errors.fetch_add(1, Ordering::Relaxed);
+                write_frame(
+                    &entry.writer,
+                    &Response::Error {
+                        tag: Some(entry.tag),
+                        error: error.clone(),
+                    },
+                );
+            }
+            return;
+        }
+    };
     let wave_queries = live.len() as u64;
     for (outcome, entry) in report.outcomes.iter().zip(&live_entries) {
         if deadline_missed(entry) {

@@ -19,6 +19,7 @@
 //! the scheduler closes the batcher, executes every still-pending wave,
 //! answers them, and only then does [`serve`] return.
 
+use crate::frame::{self, FrameError, FrameReader};
 use crate::scheduler;
 use crate::shed::{ServerStats, StatsHub};
 use crate::wire::{self, RejectReason, Request, Response};
@@ -26,11 +27,18 @@ use mcbfs_graph::csr::CsrGraph;
 use mcbfs_query::{AdmitError, Admitted, BatchReport, BatcherOpts, QueryBatcher, QueryEngine};
 use mcbfs_trace::EventKind;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The longest request line the server reads, newline excluded. The
+/// largest legal request (an `stcon` query with maximal tag, vertices and
+/// deadline) encodes to under 250 bytes; a longer line is answered with
+/// one untagged `error` frame and skipped, so a client cannot make a
+/// connection buffer grow without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -129,8 +137,10 @@ pub(crate) struct PendingEntry {
 /// the whole serving front (wire protocol, admission, batching, deadline
 /// bookkeeping, drain) is reused unchanged either way via [`serve_with`].
 pub trait WaveExecutor: Sync {
-    /// Executes one sealed wave; outcomes must be in wave order.
-    fn execute_wave(&self, wave: &[Admitted]) -> BatchReport;
+    /// Executes one sealed wave; outcomes must be in wave order. An error
+    /// (a lost worker link) is answered as `error` to every query of the
+    /// wave.
+    fn execute_wave(&self, wave: &[Admitted]) -> std::io::Result<BatchReport>;
 
     /// Folds backend processes into a `stats` reply. `local` is this
     /// process's snapshot and `window` its raw latency samples; the
@@ -142,8 +152,8 @@ pub trait WaveExecutor: Sync {
 }
 
 impl WaveExecutor for QueryEngine<'_> {
-    fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
-        QueryEngine::execute_wave(self, wave)
+    fn execute_wave(&self, wave: &[Admitted]) -> std::io::Result<BatchReport> {
+        Ok(QueryEngine::execute_wave(self, wave))
     }
 }
 
@@ -299,17 +309,30 @@ fn run_connection<E: WaveExecutor>(
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut reader = FrameReader::new(stream, MAX_REQUEST_BYTES);
     while !shared.draining() {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => handle_frame(&line, &writer, shared, default_deadline),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        match reader.next_line() {
+            Ok(Some(line)) => handle_frame(line, &writer, shared, default_deadline),
+            Ok(None) => break,
+            Err(e) if frame::timed_out(&e) => {}
+            // An oversized or non-UTF-8 line, already skipped.
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                protocol_error(shared, &writer, None, e.to_string())
+            }
             Err(_) => break,
         }
     }
+}
+
+/// Answers a line that is not a valid request; the connection stays open.
+fn protocol_error<E: WaveExecutor>(
+    shared: &Shared<E>,
+    writer: &ConnWriter,
+    tag: Option<u64>,
+    error: String,
+) {
+    shared.hub.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    write_frame(writer, &Response::Error { tag, error });
 }
 
 fn handle_frame<E: WaveExecutor>(
@@ -324,20 +347,13 @@ fn handle_frame<E: WaveExecutor>(
     let request = match wire::decode::<Request>(line) {
         Ok(r) => r,
         Err(err) => {
-            shared.hub.protocol_errors.fetch_add(1, Ordering::Relaxed);
             // A version mismatch parsed as JSON, so its tag is exact; only
             // truly malformed lines fall back to best-effort salvage.
             let tag = match &err {
-                wire::WireError::Version { tag, .. } => *tag,
-                wire::WireError::Malformed(_) => wire::salvage_tag(line),
+                FrameError::Version { tag, .. } => *tag,
+                FrameError::Malformed(_) => wire::salvage_tag(line),
             };
-            write_frame(
-                writer,
-                &Response::Error {
-                    tag,
-                    error: err.to_string(),
-                },
-            );
+            protocol_error(shared, writer, tag, err.to_string());
             return;
         }
     };

@@ -1,20 +1,16 @@
-//! `mcbfs-wire-v1`: the serving protocol.
+//! `mcbfs-wire-v1`: the serving protocol's vocabulary over the shared
+//! [`crate::frame`] conventions.
 //!
-//! Frames are newline-delimited JSON objects, one frame per line, with an
-//! explicit version field (`"v": 1`) on every frame. Requests carry a
-//! client-chosen `tag` that the server echoes on the matching response, so
-//! a client may pipeline requests over one connection and match answers
-//! out of order. Every query request receives **exactly one** response —
-//! `ok`, `rejected`, `timeout`, or `error` — which is what makes the load
-//! generator's accounting (`served + shed + timeout + error == submitted`)
-//! checkable end to end.
-//!
-//! The vendored serde derive only covers named-field structs and
-//! unit-variant enums, so the frame enums here carry hand-written
-//! [`Serialize`]/[`Deserialize`] impls over the [`Value`] tree. A
-//! malformed inbound line is a *protocol error*: the server answers with
-//! an [`Response::Error`] frame and keeps the connection open.
+//! Requests carry a client-chosen `tag` that the server echoes on the
+//! matching response, so a client may pipeline requests over one
+//! connection and match answers out of order. Every query request receives
+//! **exactly one** response — `ok`, `rejected`, `timeout`, or `error` —
+//! which is what makes the load generator's accounting (`served + shed +
+//! timeout + error == submitted`) checkable end to end. A malformed inbound
+//! line is a *protocol error*: the server answers with a
+//! [`Response::Error`] frame and keeps the connection open.
 
+use crate::frame::{self, field, obj, opt_field, FrameError};
 use mcbfs_query::Query;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
@@ -22,39 +18,6 @@ use crate::shed::ServerStats;
 
 /// Protocol version stamped on (and required of) every frame.
 pub const WIRE_VERSION: u64 = 1;
-
-/// Why an inbound line failed to decode. Version mismatches are kept
-/// distinct from garbage: a well-formed frame from a future (or ancient)
-/// client deserves a structured `error: version …` reply carrying its
-/// exact tag, so mixed-version clients can detect the incompatibility
-/// programmatically instead of fishing through a generic parse error.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The frame is valid JSON but its `v` field is not [`WIRE_VERSION`].
-    Version {
-        /// The version the frame carried.
-        got: u64,
-        /// The frame's correlation tag, when it had one (exact, not
-        /// salvaged — the frame parsed as JSON).
-        tag: Option<u64>,
-    },
-    /// Anything else: not JSON, missing fields, unknown commands.
-    Malformed(String),
-}
-
-impl core::fmt::Display for WireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            WireError::Version { got, .. } => write!(
-                f,
-                "version: this side speaks wire v{WIRE_VERSION}, frame carried v{got}"
-            ),
-            WireError::Malformed(e) => f.write_str(e),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
 
 /// Why a request was rejected at admission.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,66 +140,36 @@ pub struct QueryReply {
     pub parents: Option<Vec<u32>>,
 }
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        std::iter::once(("v".to_string(), Value::U64(WIRE_VERSION)))
-            .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
-            .collect(),
-    )
-}
-
-fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, SerdeError> {
-    T::from_value(v.get(key).ok_or_else(|| SerdeError::missing(key))?)
-}
-
-/// Missing and `null` are both "absent" for optional fields.
-fn opt_field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, SerdeError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => T::from_value(x).map(Some),
-    }
-}
-
-fn check_version(v: &Value) -> Result<(), SerdeError> {
-    let got: u64 = field(v, "v")?;
-    if got != WIRE_VERSION {
-        return Err(SerdeError(format!(
-            "unsupported wire version {got} (this server speaks {WIRE_VERSION})"
-        )));
-    }
-    Ok(())
-}
-
 impl Serialize for Request {
     fn to_value(&self) -> Value {
-        match self {
+        let fields = match self {
             Request::Query {
                 tag,
                 query,
                 deadline_ms,
-            } => obj(vec![
+            } => vec![
                 ("cmd", Value::Str("query".into())),
                 ("tag", Value::U64(*tag)),
                 ("kind", Value::Str(query.kind_name().into())),
                 ("source", Value::U64(query.source() as u64)),
                 ("target", query.target().to_value()),
                 ("deadline_ms", deadline_ms.to_value()),
-            ]),
-            Request::Stats { tag } => obj(vec![
+            ],
+            Request::Stats { tag } => vec![
                 ("cmd", Value::Str("stats".into())),
                 ("tag", Value::U64(*tag)),
-            ]),
-            Request::Ping { tag } => obj(vec![
+            ],
+            Request::Ping { tag } => vec![
                 ("cmd", Value::Str("ping".into())),
                 ("tag", Value::U64(*tag)),
-            ]),
-        }
+            ],
+        };
+        obj(WIRE_VERSION, fields)
     }
 }
 
 impl Deserialize for Request {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        check_version(v)?;
         let cmd: String = field(v, "cmd")?;
         let tag: u64 = field(v, "tag")?;
         match cmd.as_str() {
@@ -275,8 +208,8 @@ impl Deserialize for Request {
 
 impl Serialize for Response {
     fn to_value(&self) -> Value {
-        match self {
-            Response::Ok(r) => obj(vec![
+        let fields = match self {
+            Response::Ok(r) => vec![
                 ("status", Value::Str("ok".into())),
                 ("tag", Value::U64(r.tag)),
                 ("kind", Value::Str(r.kind.clone())),
@@ -289,38 +222,38 @@ impl Serialize for Response {
                 ("reachable", r.reachable.to_value()),
                 ("depths", r.depths.to_value()),
                 ("parents", r.parents.to_value()),
-            ]),
-            Response::Rejected { tag, reason } => obj(vec![
+            ],
+            Response::Rejected { tag, reason } => vec![
                 ("status", Value::Str("rejected".into())),
                 ("tag", Value::U64(*tag)),
                 ("reason", Value::Str(reason.as_str().into())),
-            ]),
-            Response::Timeout { tag, waited_ms } => obj(vec![
+            ],
+            Response::Timeout { tag, waited_ms } => vec![
                 ("status", Value::Str("timeout".into())),
                 ("tag", Value::U64(*tag)),
                 ("waited_ms", Value::F64(*waited_ms)),
-            ]),
-            Response::Stats { tag, stats } => obj(vec![
+            ],
+            Response::Stats { tag, stats } => vec![
                 ("status", Value::Str("stats".into())),
                 ("tag", Value::U64(*tag)),
                 ("stats", stats.to_value()),
-            ]),
-            Response::Pong { tag } => obj(vec![
+            ],
+            Response::Pong { tag } => vec![
                 ("status", Value::Str("pong".into())),
                 ("tag", Value::U64(*tag)),
-            ]),
-            Response::Error { tag, error } => obj(vec![
+            ],
+            Response::Error { tag, error } => vec![
                 ("status", Value::Str("error".into())),
                 ("tag", tag.to_value()),
                 ("error", Value::Str(error.clone())),
-            ]),
-        }
+            ],
+        };
+        obj(WIRE_VERSION, fields)
     }
 }
 
 impl Deserialize for Response {
     fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        check_version(v)?;
         let status: String = field(v, "status")?;
         match status.as_str() {
             "ok" => Ok(Response::Ok(QueryReply {
@@ -362,28 +295,13 @@ impl Deserialize for Response {
 
 /// Encodes one frame as a JSON line (newline included).
 pub fn encode<T: Serialize>(frame: &T) -> String {
-    let mut line = serde_json::to_string(frame).expect("wire frames always serialize");
-    line.push('\n');
-    line
+    frame::encode(frame)
 }
 
-/// Decodes one inbound line into a frame. Version mismatches are reported
-/// as [`WireError::Version`] (with the frame's exact tag when present);
-/// everything else is [`WireError::Malformed`], whose message is safe to
-/// echo back in an [`Response::Error`] frame.
-pub fn decode<T: Deserialize>(line: &str) -> Result<T, WireError> {
-    let value: Value =
-        serde_json::from_str(line.trim_end()).map_err(|e| WireError::Malformed(e.0))?;
-    match value.get("v").map(u64::from_value) {
-        Some(Ok(got)) if got != WIRE_VERSION => {
-            return Err(WireError::Version {
-                got,
-                tag: value.get("tag").and_then(|t| u64::from_value(t).ok()),
-            })
-        }
-        _ => {}
-    }
-    T::from_value(&value).map_err(|e| WireError::Malformed(e.0))
+/// Decodes one inbound line into a wire-v1 frame; a [`FrameError`]'s
+/// message is safe to echo back in a [`Response::Error`] frame.
+pub fn decode<T: Deserialize>(line: &str) -> Result<T, FrameError> {
+    frame::decode(line, WIRE_VERSION)
 }
 
 /// Best-effort tag recovery from a malformed query frame, so the error
@@ -466,22 +384,27 @@ mod tests {
         // carrying the exact tag, not a generic parse failure.
         assert_eq!(
             decode::<Request>("{\"v\":2,\"cmd\":\"ping\",\"tag\":1}").unwrap_err(),
-            WireError::Version {
+            FrameError::Version {
                 got: 2,
+                want: WIRE_VERSION,
                 tag: Some(1)
             }
         );
         assert_eq!(
             decode::<Request>("{\"v\":0,\"cmd\":\"stats\"}").unwrap_err(),
-            WireError::Version { got: 0, tag: None }
+            FrameError::Version {
+                got: 0,
+                want: WIRE_VERSION,
+                tag: None
+            }
         );
         assert!(matches!(
             decode::<Request>("not json").unwrap_err(),
-            WireError::Malformed(_)
+            FrameError::Malformed(_)
         ));
         assert!(matches!(
             decode::<Request>("{\"v\":1,\"cmd\":\"warp\",\"tag\":1}").unwrap_err(),
-            WireError::Malformed(_)
+            FrameError::Malformed(_)
         ));
         // stcon without a target is a structured error, not a panic.
         let e = decode::<Request>(
@@ -495,8 +418,9 @@ mod tests {
         let e = decode::<Response>("{\"v\":3,\"status\":\"pong\",\"tag\":9}").unwrap_err();
         assert_eq!(
             e,
-            WireError::Version {
+            FrameError::Version {
                 got: 3,
+                want: WIRE_VERSION,
                 tag: Some(9)
             }
         );

@@ -1,15 +1,20 @@
 //! Property tests for `mcbfs-wire-v1`: every frame the protocol can
-//! express survives encode → decode unchanged, and arbitrarily mangled
-//! input is a structured decode error, never a panic.
+//! express survives encode → decode unchanged, a stream of frames survives
+//! the `FrameReader` however it is cut, and arbitrarily mangled input is a
+//! structured decode error, never a panic.
 //!
 //! Floating-point fields are drawn as dyadic rationals (`n / 8`) so JSON
 //! text round-trips them exactly and `PartialEq` on frames stays honest.
 
 use mcbfs_query::Query;
+use mcbfs_serve::frame::{self, FrameReader};
+use mcbfs_serve::server::MAX_REQUEST_BYTES;
 use mcbfs_serve::shed::ServerStats;
 use mcbfs_serve::wire::{self, QueryReply, RejectReason, Request, Response};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::io::{self, ErrorKind, Read};
 
 fn query_for(kind: usize, a: u32, b: u32) -> Query {
     match kind {
@@ -23,6 +28,32 @@ fn query_for(kind: usize, a: u32, b: u32) -> Query {
 /// Exactly-representable milliseconds from an integer draw.
 fn ms(n: u32) -> f64 {
     n as f64 / 8.0
+}
+
+/// A socket stand-in that delivers its chunks one read at a time, with a
+/// read timeout before each.
+struct Chunked {
+    chunks: VecDeque<Vec<u8>>,
+    stalled: bool,
+}
+
+impl Read for Chunked {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let Some(chunk) = self.chunks.front_mut() else {
+            return Ok(0);
+        };
+        self.stalled = !self.stalled;
+        if self.stalled {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = chunk.len().min(out.len());
+        out[..n].copy_from_slice(&chunk[..n]);
+        chunk.drain(..n);
+        if chunk.is_empty() {
+            self.chunks.pop_front();
+        }
+        Ok(n)
+    }
 }
 
 proptest! {
@@ -49,6 +80,7 @@ proptest! {
         };
         let line = wire::encode(&request);
         prop_assert!(line.ends_with('\n'));
+        prop_assert!(line.len() <= MAX_REQUEST_BYTES);
         let back: Request = wire::decode(&line).map_err(|e| {
             TestCaseError::Fail(format!("{request:?} failed to reparse: {e}"))
         })?;
@@ -133,6 +165,60 @@ proptest! {
         };
         let back: Response = wire::decode(&wire::encode(&response)).unwrap();
         prop_assert_eq!(back, response);
+    }
+
+    #[test]
+    fn frames_cut_anywhere_come_out_of_the_reader_whole(
+        tags in vec(any::<u64>(), 1..8),
+        depths in vec(any::<u32>(), 0..40),
+        cuts in vec(any::<usize>(), 0..24),
+    ) {
+        let frames: Vec<Response> = tags
+            .iter()
+            .enumerate()
+            .map(|(i, &tag)| match i % 3 {
+                0 => Response::Error {
+                    tag: Some(tag),
+                    error: format!("naïve ✓ {tag} 🚀"),
+                },
+                1 => Response::Pong { tag },
+                _ => Response::Ok(QueryReply {
+                    tag,
+                    kind: "distances".to_string(),
+                    wave_queries: 1,
+                    queue_ms: 0.5,
+                    service_ms: 1.0,
+                    latency_ms: 1.5,
+                    edges: tag,
+                    distance: None,
+                    reachable: None,
+                    depths: Some(depths.clone()),
+                    parents: None,
+                }),
+            })
+            .collect();
+        let stream: Vec<u8> = frames.iter().flat_map(|f| wire::encode(f).into_bytes()).collect();
+        // Cut at every drawn offset, and always once inside the first
+        // multi-byte character.
+        let wide = stream.iter().position(|&b| b >= 0x80).expect("frame 0 is not ASCII");
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % stream.len()).collect();
+        at.extend([0, wide + 1, stream.len()]);
+        at.sort_unstable();
+        at.dedup();
+        let chunks = at.windows(2).map(|w| stream[w[0]..w[1]].to_vec()).collect();
+        let mut reader = FrameReader::new(Chunked { chunks, stalled: false }, usize::MAX);
+        let mut got = Vec::new();
+        loop {
+            match reader.next_line() {
+                Ok(Some(line)) => got.push(
+                    wire::decode::<Response>(line).map_err(|e| TestCaseError::fail(e.to_string()))?,
+                ),
+                Ok(None) => break,
+                Err(e) if frame::timed_out(&e) => {}
+                Err(e) => return Err(TestCaseError::fail(e.to_string())),
+            }
+        }
+        prop_assert_eq!(got, frames);
     }
 
     #[test]

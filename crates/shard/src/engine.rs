@@ -397,8 +397,9 @@ pub(crate) fn assemble_outcomes(
     (outcomes, stats)
 }
 
-impl WaveExecutor for ShardedEngine {
-    fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
+impl ShardedEngine {
+    /// Executes one sealed wave across the in-process shards.
+    pub fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
         if wave.is_empty() {
             return BatchReport::default();
         }
@@ -424,6 +425,12 @@ impl WaveExecutor for ShardedEngine {
         };
         report.outcomes.sort_by_key(|o| o.id);
         report
+    }
+}
+
+impl WaveExecutor for ShardedEngine {
+    fn execute_wave(&self, wave: &[Admitted]) -> std::io::Result<BatchReport> {
+        Ok(ShardedEngine::execute_wave(self, wave))
     }
 }
 

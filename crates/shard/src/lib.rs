@@ -22,6 +22,6 @@ pub mod worker;
 
 pub use engine::{ExchangeLog, LevelExchange, ShardedEngine};
 pub use router::Router;
-pub use swire::{Bucket, ExchangeItem, ShardFrame, ShardMeta, SwireError, SWIRE_VERSION};
+pub use swire::{Bucket, ExchangeItem, ShardFrame, ShardMeta, SWIRE_VERSION};
 pub use wave::{ScanOutput, ShardWave, WaveOutput};
 pub use worker::run_worker;

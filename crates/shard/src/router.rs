@@ -12,6 +12,10 @@
 //! `wave_result` ranges are stitched into the global answers clients
 //! expect.
 //!
+//! A lost worker link fails its wave, which the scheduler answers with
+//! `error` replies, and is kept as the router's fault: every later wave
+//! fails fast with it, because the surviving links were left mid-wave.
+//!
 //! Instrumentation: each blocking read of a worker's next frame is a
 //! [`EventKind::ShardWait`] span (arg = level), each completed level's
 //! communication a [`EventKind::ShardExchange`] span (arg = bytes moved),
@@ -23,17 +27,17 @@ use crate::engine::{assemble_outcomes, merge_for, ExchangeLog, LevelExchange, Sh
 use crate::swire::{self, ExchangeItem, ShardFrame, ShardMeta};
 use crate::wave::ScanOutput;
 use mcbfs_query::{Admitted, BatchReport, Query};
-use mcbfs_serve::{ServerStats, WaveExecutor};
+use mcbfs_serve::{FrameReader, ServerStats, WaveExecutor};
 use mcbfs_trace::{EventKind, SpanTimer};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// One connected shard worker.
 struct WorkerLink {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     writer: TcpStream,
     meta: ShardMeta,
 }
@@ -49,26 +53,14 @@ impl WorkerLink {
     /// Blocks until the worker's next frame arrives; returns it with its
     /// encoded length (the exchange byte count of the upward link).
     fn recv(&mut self) -> std::io::Result<(ShardFrame, u64)> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let read = self.reader.read_line(&mut line)?;
-            if read == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("shard {} closed its connection", self.meta.index),
-                ));
-            }
-            if !line.trim().is_empty() {
-                break;
-            }
-        }
-        let frame = swire::decode(&line).map_err(|e| {
+        let index = self.meta.index;
+        let line = self.reader.next_line()?.ok_or_else(|| {
             std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("shard {}: {e}", self.meta.index),
+                std::io::ErrorKind::UnexpectedEof,
+                format!("shard {index} closed its connection"),
             )
         })?;
+        let frame = swire::decode(line).map_err(|e| bad_data(format!("shard {index}: {e}")))?;
         Ok((frame, line.len() as u64))
     }
 }
@@ -80,6 +72,9 @@ pub struct Router {
     m: u64,
     waves: AtomicU64,
     exchange: Mutex<ExchangeLog>,
+    /// The first link failure. The links it leaves mid-wave cannot be
+    /// reused, so every later wave fails fast with it.
+    fault: OnceLock<String>,
 }
 
 impl Router {
@@ -92,7 +87,9 @@ impl Router {
         for addr in addrs {
             let stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true).ok();
-            let reader = BufReader::new(stream.try_clone()?);
+            // Peers are trusted, and a legal `wave_result` grows with the
+            // graph: no line limit.
+            let reader = FrameReader::new(stream.try_clone()?, usize::MAX);
             let mut link = WorkerLink {
                 reader,
                 writer: stream,
@@ -155,6 +152,7 @@ impl Router {
             m,
             waves: AtomicU64::new(0),
             exchange: Mutex::new(ExchangeLog::default()),
+            fault: OnceLock::new(),
         })
     }
 
@@ -179,9 +177,8 @@ impl Router {
         self.exchange.lock().expect("exchange log lock").clone()
     }
 
-    /// Drives one wave through the cluster. Any worker failure mid-wave is
-    /// unrecoverable for that wave and panics (taking the serving process
-    /// down rather than answering queries wrong).
+    /// Drives one wave through the cluster. A worker failure mid-wave
+    /// fails the wave; `execute_wave` keeps it as the router's fault.
     fn run_wave(
         &self,
         links: &mut [WorkerLink],
@@ -330,9 +327,9 @@ fn bad_data(msg: String) -> std::io::Error {
 }
 
 impl WaveExecutor for Router {
-    fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
+    fn execute_wave(&self, wave: &[Admitted]) -> std::io::Result<BatchReport> {
         if wave.is_empty() {
-            return BatchReport::default();
+            return Ok(BatchReport::default());
         }
         let wave_id = self.waves.fetch_add(1, Ordering::Relaxed);
         let sources: Vec<u32> = wave.iter().map(|a| a.query.source()).collect();
@@ -340,9 +337,14 @@ impl WaveExecutor for Router {
             .iter()
             .any(|a| matches!(a.query, Query::Parents { .. }));
         let mut links = self.links.lock().expect("router links lock");
+        if let Some(fault) = self.fault.get() {
+            return Err(std::io::Error::other(fault.clone()));
+        }
         let run = self
             .run_wave(&mut links, &sources, record_parents, wave_id)
-            .expect("worker connection failed mid-wave");
+            .inspect_err(|e| {
+                let _ = self.fault.set(e.to_string());
+            })?;
         drop(links);
         let seconds = run.seconds;
         let (outcomes, stats) = assemble_outcomes(wave, run, wave_id as usize, true);
@@ -353,16 +355,20 @@ impl WaveExecutor for Router {
             ..BatchReport::default()
         };
         report.outcomes.sort_by_key(|o| o.id);
-        report
+        Ok(report)
     }
 
     /// Merges the workers' stats parts into the router's snapshot: the
     /// router owns every client-facing counter, the workers own the graph
     /// shape, and the merged quantiles come from the router's raw latency
     /// window (workers never observe client latency). A worker that fails
-    /// to answer degrades the reply to the router-local view.
+    /// to answer, or a faulted router, degrades the reply to the
+    /// router-local view.
     fn merged_stats(&self, local: ServerStats, window: &[f64]) -> ServerStats {
         let mut links = self.links.lock().expect("router links lock");
+        if self.fault.get().is_some() {
+            return local;
+        }
         let mut parts = vec![ServerStats {
             vertices: 0,
             edges: 0,
@@ -389,7 +395,7 @@ impl WaveExecutor for Router {
 /// By-reference delegation so a caller can hand the router to
 /// `serve_with` and still read its [`ExchangeLog`] after the drain.
 impl WaveExecutor for &Router {
-    fn execute_wave(&self, wave: &[Admitted]) -> BatchReport {
+    fn execute_wave(&self, wave: &[Admitted]) -> std::io::Result<BatchReport> {
         (**self).execute_wave(wave)
     }
 

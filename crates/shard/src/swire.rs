@@ -1,13 +1,9 @@
-//! `mcbfs-swire-v1`: the router ↔ shard-worker protocol.
+//! `mcbfs-swire-v1`: the router ↔ shard-worker vocabulary over the shared
+//! `mcbfs_serve::frame` conventions.
 //!
-//! Same transport conventions as the client-facing `mcbfs-wire-v1`
-//! (newline-delimited JSON frames, an explicit `"v"` field on every
-//! frame, hand-written [`Serialize`]/[`Deserialize`] over the [`Value`]
-//! tree), but a different vocabulary: instead of queries and answers it
-//! carries the per-level frontier exchange of a wave running across 1D
-//! vertex-range shards.
-//!
-//! The central frame kind is **shard-exchange**: a level-stamped,
+//! Instead of queries and answers, these frames carry the per-level
+//! frontier exchange of a wave running across 1D vertex-range shards. The
+//! central frame kind is **shard-exchange**: a level-stamped,
 //! destination-bucketed list of frontier discoveries. Workers send one
 //! [`ShardFrame::Exchange`] up per level (their cross-shard discoveries,
 //! bucketed by owning shard, plus the local-next flag the router needs
@@ -22,38 +18,12 @@
 //! mode predict the live cluster's per-level exchange bytes by counting
 //! the bytes of the very frames the cluster would put on the wire.
 
+use mcbfs_serve::frame::{self, field, obj, opt_field, FrameError};
 use mcbfs_serve::ServerStats;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 /// Protocol version stamped on (and required of) every frame.
 pub const SWIRE_VERSION: u64 = 1;
-
-/// Why an inbound line failed to decode (mirrors the client protocol's
-/// split: version mismatches are structured, everything else is opaque).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SwireError {
-    /// The frame is valid JSON but its `v` field is not [`SWIRE_VERSION`].
-    Version {
-        /// The version the frame carried.
-        got: u64,
-    },
-    /// Anything else: not JSON, missing fields, unknown commands.
-    Malformed(String),
-}
-
-impl core::fmt::Display for SwireError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            SwireError::Version { got } => write!(
-                f,
-                "version: this side speaks swire v{SWIRE_VERSION}, frame carried v{got}"
-            ),
-            SwireError::Malformed(e) => f.write_str(e),
-        }
-    }
-}
-
-impl std::error::Error for SwireError {}
 
 /// One cross-shard frontier discovery: edge `u → v` was scanned at the
 /// current level by the wave slots in `mask`, and `v` is owned by another
@@ -216,34 +186,11 @@ pub enum ShardFrame {
     },
 }
 
-fn obj(cmd: &str, fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        [
-            ("v".to_string(), Value::U64(SWIRE_VERSION)),
-            ("cmd".to_string(), Value::Str(cmd.to_string())),
-        ]
-        .into_iter()
-        .chain(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
-        .collect(),
-    )
-}
-
-fn field<T: Deserialize>(v: &Value, key: &str) -> Result<T, SerdeError> {
-    T::from_value(v.get(key).ok_or_else(|| SerdeError::missing(key))?)
-}
-
-fn opt_field<T: Deserialize>(v: &Value, key: &str) -> Result<Option<T>, SerdeError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => T::from_value(x).map(Some),
-    }
-}
-
 impl Serialize for ShardFrame {
     fn to_value(&self) -> Value {
-        match self {
-            ShardFrame::Hello => obj("hello", vec![]),
-            ShardFrame::Meta(m) => obj(
+        let (cmd, fields) = match self {
+            ShardFrame::Hello => ("hello", vec![]),
+            ShardFrame::Meta(m) => (
                 "meta",
                 vec![
                     ("n", Value::U64(m.n)),
@@ -259,7 +206,7 @@ impl Serialize for ShardFrame {
                 wave,
                 sources,
                 record_parents,
-            } => obj(
+            } => (
                 "wave_start",
                 vec![
                     ("wave", Value::U64(*wave)),
@@ -273,7 +220,7 @@ impl Serialize for ShardFrame {
                 buckets,
                 local_next,
                 edges_scanned,
-            } => obj(
+            } => (
                 "exchange",
                 vec![
                     ("wave", Value::U64(*wave)),
@@ -283,7 +230,7 @@ impl Serialize for ShardFrame {
                     ("edges_scanned", Value::U64(*edges_scanned)),
                 ],
             ),
-            ShardFrame::Merged { wave, level, items } => obj(
+            ShardFrame::Merged { wave, level, items } => (
                 "merged",
                 vec![
                     ("wave", Value::U64(*wave)),
@@ -291,16 +238,14 @@ impl Serialize for ShardFrame {
                     ("items", items.to_value()),
                 ],
             ),
-            ShardFrame::WaveFinish { wave } => {
-                obj("wave_finish", vec![("wave", Value::U64(*wave))])
-            }
+            ShardFrame::WaveFinish { wave } => ("wave_finish", vec![("wave", Value::U64(*wave))]),
             ShardFrame::WaveResult {
                 wave,
                 depths,
                 parents,
                 slot_edges,
                 levels,
-            } => obj(
+            } => (
                 "wave_result",
                 vec![
                     ("wave", Value::U64(*wave)),
@@ -310,11 +255,11 @@ impl Serialize for ShardFrame {
                     ("levels", Value::U64(*levels)),
                 ],
             ),
-            ShardFrame::Stats => obj("stats", vec![]),
-            ShardFrame::StatsReply { stats } => {
-                obj("stats_reply", vec![("stats", stats.to_value())])
-            }
-        }
+            ShardFrame::Stats => ("stats", vec![]),
+            ShardFrame::StatsReply { stats } => ("stats_reply", vec![("stats", stats.to_value())]),
+        };
+        let cmd = ("cmd", Value::Str(cmd.to_string()));
+        obj(SWIRE_VERSION, std::iter::once(cmd).chain(fields))
     }
 }
 
@@ -372,26 +317,12 @@ impl Deserialize for ShardFrame {
 /// the frame's *exchange byte count* — model mode and the live router both
 /// account exchange volume as the sum of these lengths.
 pub fn encode(frame: &ShardFrame) -> String {
-    let mut line = serde_json::to_string(frame).expect("swire frames always serialize");
-    line.push('\n');
-    line
+    frame::encode(frame)
 }
 
-/// Decodes one inbound line into a frame; version mismatches are reported
-/// as [`SwireError::Version`].
-pub fn decode(line: &str) -> Result<ShardFrame, SwireError> {
-    let value: Value =
-        serde_json::from_str(line.trim_end()).map_err(|e| SwireError::Malformed(e.0))?;
-    match value.get("v").map(u64::from_value) {
-        Some(Ok(got)) if got != SWIRE_VERSION => return Err(SwireError::Version { got }),
-        Some(Ok(_)) => {}
-        _ => {
-            return Err(SwireError::Malformed(
-                "frame carries no version field".to_string(),
-            ))
-        }
-    }
-    ShardFrame::from_value(&value).map_err(|e| SwireError::Malformed(e.0))
+/// Decodes one inbound line into a swire-v1 frame.
+pub fn decode(line: &str) -> Result<ShardFrame, FrameError> {
+    frame::decode(line, SWIRE_VERSION)
 }
 
 #[cfg(test)]
@@ -473,19 +404,23 @@ mod tests {
     fn version_gate_rejects_other_versions() {
         assert_eq!(
             decode("{\"v\":2,\"cmd\":\"hello\"}").unwrap_err(),
-            SwireError::Version { got: 2 }
+            FrameError::Version {
+                got: 2,
+                want: SWIRE_VERSION,
+                tag: None
+            }
         );
         assert!(matches!(
             decode("{\"cmd\":\"hello\"}").unwrap_err(),
-            SwireError::Malformed(_)
+            FrameError::Malformed(_)
         ));
         assert!(matches!(
             decode("not json").unwrap_err(),
-            SwireError::Malformed(_)
+            FrameError::Malformed(_)
         ));
         assert!(matches!(
             decode("{\"v\":1,\"cmd\":\"warp\"}").unwrap_err(),
-            SwireError::Malformed(_)
+            FrameError::Malformed(_)
         ));
     }
 }

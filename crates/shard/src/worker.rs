@@ -16,8 +16,9 @@
 use crate::swire::{self, ShardFrame, ShardMeta};
 use crate::wave::ShardWave;
 use mcbfs_graph::shard::CsrShard;
+use mcbfs_serve::frame::{self, FrameReader};
 use mcbfs_serve::{ServerStats, ShutdownHandle};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -102,21 +103,19 @@ fn serve_router(
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // The router is a trusted peer: no line limit.
+    let mut reader = FrameReader::new(stream, usize::MAX);
     let mut wave: Option<ShardWave> = None;
     while !shutdown.requested() {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
-        }
+        let line = match reader.next_line() {
+            Ok(Some(line)) => line,
+            Err(e) if frame::timed_out(&e) => continue,
+            Ok(None) | Err(_) => return,
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let frame = match swire::decode(&line) {
+        let frame = match swire::decode(line) {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("shard {}: bad router frame: {e}", shard.index());

@@ -626,34 +626,23 @@ struct RemoteQueryStats {
 /// with one distances query per source, pipelined on one connection.
 fn cmd_query_remote(opts: &HashMap<String, String>) {
     use multicore_bfs::query::nearest_rank_quantile;
-    use multicore_bfs::serve::wire;
-    use multicore_bfs::serve::{Request, Response};
-    use std::io::{BufRead, Write};
+    use multicore_bfs::serve::{loadgen, wire, FrameReader, Request, Response};
+    use std::io::Write;
     let addr = require(opts, "addr");
     let deadline_ms: f64 = get(opts, "deadline-ms", -1.0f64);
+    // Handshake: the stats reply carries the graph shape, which bounds
+    // the source ids exactly as the local path does.
+    let n = loadgen::fetch_stats(&addr)
+        .unwrap_or_else(|e| usage(&format!("handshake with {addr} failed: {e}")))
+        .vertices as usize;
+    let sources = read_sources(&require(opts, "sources"), n);
     let stream = std::net::TcpStream::connect(&addr)
         .unwrap_or_else(|e| usage(&format!("cannot connect to {addr}: {e}")));
     stream.set_nodelay(true).ok();
     let mut writer = stream
         .try_clone()
         .unwrap_or_else(|e| usage(&format!("cannot clone connection: {e}")));
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-
-    // Handshake: the stats reply carries the graph shape, which bounds
-    // the source ids exactly as the local path does.
-    writer
-        .write_all(wire::encode(&Request::Stats { tag: u64::MAX }).as_bytes())
-        .unwrap_or_else(|e| usage(&format!("handshake write failed: {e}")));
-    reader
-        .read_line(&mut line)
-        .unwrap_or_else(|e| usage(&format!("handshake read failed: {e}")));
-    let n = match wire::decode::<Response>(&line) {
-        Ok(Response::Stats { stats, .. }) => stats.vertices as usize,
-        Ok(other) => usage(&format!("unexpected handshake reply: {other:?}")),
-        Err(e) => usage(&format!("bad handshake reply: {e}")),
-    };
-    let sources = read_sources(&require(opts, "sources"), n);
+    let mut reader = FrameReader::new(stream, usize::MAX);
 
     let start = std::time::Instant::now();
     for (tag, &root) in sources.iter().enumerate() {
@@ -675,16 +664,15 @@ fn cmd_query_remote(opts: &HashMap<String, String>) {
     let mut latencies = Vec::new();
     let mut remaining = sources.len();
     while remaining > 0 {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => usage("server closed the connection mid-batch"),
-            Ok(_) => {}
+        let line = match reader.next_line() {
+            Ok(Some(line)) => line,
+            Ok(None) => usage("server closed the connection mid-batch"),
             Err(e) => usage(&format!("reply read failed: {e}")),
-        }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match wire::decode::<Response>(&line) {
+        match wire::decode::<Response>(line) {
             Ok(Response::Ok(reply)) => {
                 served += 1;
                 edges += reply.edges;

@@ -1,16 +1,15 @@
 //! Integration tests of the application layer built on the BFS substrate:
-//! the Graph500-style kernel, st-connectivity, connected components, the
-//! distributed extension, and graph transformations — composed across
+//! the Graph500-style kernel, st-connectivity, connected components, and
+//! graph transformations — composed across
 //! crates the way a downstream user would.
 
-use multicore_bfs::core::algo::distributed::{bfs_distributed, DistributedOpts};
 use multicore_bfs::core::components::connected_components;
 use multicore_bfs::core::kernel::{run_kernel, sample_roots};
 use multicore_bfs::core::runner::{Algorithm, ExecMode};
 use multicore_bfs::core::stcon::{st_connectivity, StConnectivity};
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::ops::{induced_subgraph, is_symmetric, transpose};
-use multicore_bfs::graph::validate::{sequential_levels, validate_bfs_tree};
+use multicore_bfs::graph::validate::sequential_levels;
 use multicore_bfs::machine::model::MachineModel;
 
 #[test]
@@ -71,23 +70,6 @@ fn stcon_agrees_with_component_labels() {
         }
     }
     assert!(connected_checked + disconnected_checked == 5);
-}
-
-#[test]
-fn distributed_extension_agrees_with_shared_memory_algorithms() {
-    let g = RmatBuilder::new(10, 6).seed(52).permute(true).build();
-    let seq = multicore_bfs::core::algo::sequential::bfs_sequential(&g, 4);
-    let dist = bfs_distributed(
-        &g,
-        4,
-        DistributedOpts {
-            ranks: 4,
-            ..Default::default()
-        },
-    );
-    validate_bfs_tree(&g, 4, &dist.parents).unwrap();
-    assert_eq!(dist.visited, seq.visited);
-    assert_eq!(dist.profile.edges_traversed, seq.profile.edges_traversed);
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //!    server replies `rejected: overloaded` — every submitted request
 //!    receives exactly one response, and the admitted ones are all
 //!    answered.
-//! 3. **Lifecycle.** Malformed frames get an `error` reply on a
-//!    still-open connection; deadlines produce explicit `timeout`
+//! 3. **Lifecycle.** Malformed and oversized frames get an `error` reply
+//!    on a still-open connection, and a frame split across the server's
+//!    read timeout is reassembled; deadlines produce explicit `timeout`
 //!    frames; shutdown drains every in-flight query before `serve`
 //!    returns.
 
@@ -19,6 +20,7 @@ use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
 use multicore_bfs::graph::validate::{depths_from_parents, validate_bfs_tree};
 use multicore_bfs::query::{Query, QueryEngine, QueryResult};
+use multicore_bfs::serve::server::MAX_REQUEST_BYTES;
 use multicore_bfs::serve::wire::{self, QueryReply, RejectReason, Request, Response};
 use multicore_bfs::serve::{serve, ServeOpts, ServerStats, ShutdownHandle};
 use std::collections::HashMap;
@@ -51,11 +53,23 @@ fn with_server<R: Send>(
             .expect("server binds an ephemeral port")
         });
         let addr = rx.recv().expect("server reports readiness");
+        // Stops the server even when `f` panics; otherwise the scope
+        // would wait on it forever and a failing assertion would hang.
+        let stop = StopOnDrop(&shutdown);
         result = Some(f(addr));
-        shutdown.request();
+        drop(stop);
         stats = Some(server.join().expect("server thread exits cleanly"));
     });
     (result.unwrap(), stats.unwrap())
+}
+
+/// Requests shutdown when dropped.
+struct StopOnDrop<'a>(&'a ShutdownHandle);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.request();
+    }
 }
 
 /// A raw wire-v1 client over one connection.
@@ -291,8 +305,25 @@ fn malformed_frames_error_without_closing_the_connection() {
         }
         client.send(&Request::Ping { tag: 9 });
         assert_eq!(client.recv(), Response::Pong { tag: 9 });
+        // A frame split by a pause longer than the server's read timeout
+        // is reassembled, not cut in two.
+        client.send_raw("{\"v\":1,\"cmd\":\"pi");
+        std::thread::sleep(Duration::from_millis(300));
+        client.send_raw("ng\",\"tag\":5}\n");
+        assert_eq!(client.recv(), Response::Pong { tag: 5 });
+        // An oversized line gets exactly one untagged error naming the
+        // limit; the next frame on the connection is served.
+        client.send_raw(&format!("{}\n", "x".repeat(MAX_REQUEST_BYTES + 1)));
+        client.send(&Request::Ping { tag: 10 });
+        match client.recv() {
+            Response::Error { tag: None, error } => {
+                assert!(error.contains(&MAX_REQUEST_BYTES.to_string()), "{error}");
+            }
+            other => panic!("expected an oversize error, got {other:?}"),
+        }
+        assert_eq!(client.recv(), Response::Pong { tag: 10 });
     });
-    assert_eq!(stats.protocol_errors, 2);
+    assert_eq!(stats.protocol_errors, 3);
     assert_eq!(stats.errors, 1);
     assert_eq!(stats.served, 1);
 }

@@ -21,6 +21,9 @@
 //!    wave sequence byte-for-byte.
 //! 5. **Drain.** SIGINT stops router and workers cleanly, with their
 //!    drain banners printed.
+//! 6. **Worker death.** After a worker is SIGKILLed, every query resolves
+//!    as `error` or `timeout` within its deadline, `ping` still answers,
+//!    and the router still drains cleanly.
 
 use multicore_bfs::gen::prelude::*;
 use multicore_bfs::graph::csr::CsrGraph;
@@ -33,7 +36,9 @@ use serde::Value;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_mcbfs")
@@ -181,42 +186,49 @@ fn exchange_totals(exchange: &Value) -> (u64, u64, u64) {
     })
 }
 
-#[test]
-fn router_over_four_shards_matches_single_process_serve() {
-    let dir = std::env::temp_dir().join(format!("mcbfs-sharding-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+/// Writes the test graph into `dir`, cuts it into `shards` shard files
+/// with `mcbfs partition`, and starts one worker per shard. Returns the
+/// graph file, the workers and their addresses.
+fn start_workers(dir: &Path, shards: usize) -> (PathBuf, Vec<Proc>, Vec<String>) {
+    std::fs::create_dir_all(dir).expect("temp dir");
     let graph_path = dir.join("g.csr");
-    let graph = test_graph();
     {
         let f = File::create(&graph_path).expect("create graph file");
-        io::write_csr_tagged(&mut BufWriter::new(f), &graph, Reorder::None)
+        io::write_csr_tagged(&mut BufWriter::new(f), &test_graph(), Reorder::None)
             .expect("serialize graph");
     }
     let graph_str = graph_path.to_str().expect("utf8 path");
-
-    // Satellite 1: the partition subcommand cuts the shard files.
+    let shards_arg = shards.to_string();
     let status = Command::new(bin())
-        .args(["partition", "--graph", graph_str, "--shards", "4"])
+        .args(["partition", "--graph", graph_str, "--shards", &shards_arg])
         .stdout(Stdio::null())
         .status()
         .expect("run partition");
     assert!(status.success(), "partition failed");
+    let (workers, addrs) = (0..shards)
+        .map(|i| {
+            let shard_path = dir.join(format!("g.shard{i}of{shards}.csr"));
+            Proc::spawn_listening(&[
+                "shard",
+                "--shard",
+                shard_path.to_str().expect("utf8 path"),
+                "--addr",
+                "127.0.0.1:0",
+            ])
+        })
+        .unzip();
+    (graph_path, workers, addrs)
+}
 
-    // 4 workers, then the router over them, then the reference server.
-    let mut workers = Vec::new();
-    let mut worker_addrs = Vec::new();
-    for i in 0..4 {
-        let shard_path = dir.join(format!("g.shard{i}of4.csr"));
-        let (proc_, addr) = Proc::spawn_listening(&[
-            "shard",
-            "--shard",
-            shard_path.to_str().expect("utf8 path"),
-            "--addr",
-            "127.0.0.1:0",
-        ]);
-        workers.push(proc_);
-        worker_addrs.push(addr);
-    }
+#[test]
+fn router_over_four_shards_matches_single_process_serve() {
+    let dir = std::env::temp_dir().join(format!("mcbfs-sharding-{}", std::process::id()));
+    let graph = test_graph();
+    // Satellite 1: the partition subcommand cuts the shard files.
+    let (graph_path, workers, worker_addrs) = start_workers(&dir, 4);
+    let graph_str = graph_path.to_str().expect("utf8 path");
+
+    // The router over the 4 workers, then the reference server.
     let stats_json = dir.join("router.json");
     let (mut router, router_addr) = Proc::spawn_listening(&[
         "router",
@@ -330,5 +342,60 @@ fn router_over_four_shards_matches_single_process_serve() {
         "live exchange ledger diverges from the in-process replay"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_dead_worker_fails_queries_fast_and_the_router_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("mcbfs-sharding-kill-{}", std::process::id()));
+    let (_, mut workers, worker_addrs) = start_workers(&dir, 2);
+    let (mut router, router_addr) = Proc::spawn_listening(&[
+        "router",
+        "--workers",
+        &worker_addrs.join(","),
+        "--addr",
+        "127.0.0.1:0",
+    ]);
+    let mut client = Client::connect(&router_addr);
+    client.query(0, Query::Distances { root: 0 });
+
+    workers[1].child.kill().expect("SIGKILL worker 1");
+    workers[1].child.wait().expect("reap worker 1");
+    // Every query resolves within its deadline plus slack; a reply that
+    // never comes fails the read instead of hanging the test.
+    let deadline_ms = 1000.0;
+    let limit = Duration::from_secs_f64(deadline_ms / 1e3) + Duration::from_secs(2);
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(limit))
+        .expect("read timeout");
+    for tag in 1..=3u64 {
+        let sent = Instant::now();
+        let reply = client.roundtrip(&Request::Query {
+            tag,
+            query: Query::Distances { root: tag as u32 },
+            deadline_ms: Some(deadline_ms),
+        });
+        assert!(
+            sent.elapsed() <= limit,
+            "query {tag} took {:?}",
+            sent.elapsed()
+        );
+        match reply {
+            Response::Error { tag: Some(t), .. } | Response::Timeout { tag: t, .. } => {
+                assert_eq!(t, tag)
+            }
+            other => panic!("expected error or timeout after a worker died, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        client.roundtrip(&Request::Ping { tag: 9 }),
+        Response::Pong { tag: 9 }
+    );
+    drop(client);
+
+    assert!(router.sigint_and_wait().contains("drained and stopped"));
+    assert!(workers[0].sigint_and_wait().contains("drained and stopped"));
     std::fs::remove_dir_all(&dir).ok();
 }
